@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.core.results import render_table
+from repro.tables import render_table
 
 
 def _load(path: str) -> dict:

@@ -18,7 +18,7 @@ into the ``repro-monitor-v1`` JSON document:
 
 from __future__ import annotations
 
-from repro.core.results import render_table
+from repro.tables import render_table
 from repro.monitor.core import STEP_LAYERS, WorkloadMonitor
 
 FORMAT = "repro-monitor-v1"

@@ -155,7 +155,7 @@ class ChaosReport:
         }
 
     def render(self) -> str:
-        from repro.core.results import render_table
+        from repro.tables import render_table
 
         rows = []
         for cell in self.cells:
@@ -445,7 +445,7 @@ class ScaleoutReport:
         }
 
     def render(self) -> str:
-        from repro.core.results import render_table
+        from repro.tables import render_table
 
         rows = []
         for cell in self.cells:

@@ -255,7 +255,7 @@ class CrashFuzzReport:
         }
 
     def render(self) -> str:
-        from repro.core.results import render_table
+        from repro.tables import render_table
 
         rows = []
         for wl in self.workloads:

@@ -228,7 +228,7 @@ class TraceAnalyzer:
 
     def render_text(self, top: int = 10, title: str | None = None) -> str:
         """The ST05-style text report (per-query layers + hot operators)."""
-        from repro.core.results import render_table
+        from repro.tables import render_table
 
         breakdowns = self.query_breakdowns()
         rows = []
