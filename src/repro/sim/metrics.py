@@ -25,14 +25,20 @@ class MetricsSnapshot:
         Counters that existed at the base but were reset or removed
         afterwards show up with a negative delta — a silent drop would
         make a ``reset()`` between snapshots look like "nothing
-        happened".
+        happened".  Keys come in a fixed order — current counters in
+        insertion order, then base-only ones — so a serialised delta is
+        the same bytes under every hash seed.
         """
         current = self._collector._counts
+        base = self._base
         out: dict[str, float] = {}
-        for name in current.keys() | self._base.keys():
-            change = current.get(name, 0) - self._base.get(name, 0)
+        for name, value in current.items():
+            change = value - base.get(name, 0)
             if change:
                 out[name] = change
+        for name, value in base.items():
+            if value and name not in current:
+                out[name] = -value
         return out
 
     def get(self, name: str) -> float:

@@ -117,3 +117,49 @@ class TestMetricsScope:
                 assert inner.get("x") == 0
                 metrics.count("x", 2)
                 assert inner.get("x") == 2
+
+
+_DELTA_SCRIPT = """
+import json
+from repro.sim.metrics import MetricsCollector
+metrics = MetricsCollector()
+for name in ("disk.reads", "buffer.hits", "dbif.roundtrips", "old"):
+    metrics.count(name)
+snap = metrics.snapshot()
+metrics.reset()
+for i, name in enumerate(("zeta", "buffer.hits", "alpha", "mu", "disk.reads",
+                          "omega", "beta", "kappa")):
+    metrics.count(name, i + 1)
+print(json.dumps(snap.delta()))
+"""
+
+
+class TestDeltaOrder:
+    def test_delta_order_current_then_base_only(self):
+        metrics = MetricsCollector()
+        metrics.count("gone", 2)
+        metrics.count("kept", 1)
+        snap = metrics.snapshot()
+        metrics.reset()
+        metrics.count("new")
+        metrics.count("kept", 5)
+        assert list(snap.delta().items()) == [
+            ("new", 1), ("kept", 4), ("gone", -2)]
+
+    def test_delta_bytes_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _DELTA_SCRIPT], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith('{"zeta": 1,')
