@@ -44,9 +44,9 @@ def _dump(name: str, extra_info: dict) -> None:
 def _suite_pass(r3, suite) -> None:
     """One full pass over the 17 open30 queries, STAT-bracketed."""
     for number in range(1, 18):
-        step = r3.monitor.begin_step("dialog", f"Q{number}", wp="PWR")
-        suite[number](r3)
-        r3.monitor.end_step(step)
+        span = r3.tracer.span("power.query", layer="abap")
+        with r3.monitor.step(span, "dialog", f"Q{number}", wp="PWR"):
+            suite[number](r3)
 
 
 def test_monitor_overhead(benchmark):

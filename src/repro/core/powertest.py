@@ -20,7 +20,6 @@ from repro.core import paperdata
 from repro.core.results import duration_cell, render_table
 from repro.engine.database import Database
 from repro.engine.errors import StatementTimeout, TransientError
-from repro.sim.clock import SimulatedClock
 from repro.r3.appserver import R3System, R3Version
 from repro.r3.upgrade import upgrade_to_30
 from repro.reports import native22, native30, open22, open30
@@ -123,9 +122,10 @@ def build_sap_system(data: TpcdData, version: R3Version,
     return r3
 
 
-def _guarded(clock: SimulatedClock, metrics, label: str,
-             timeout_s: float | None, fn):
-    """Run one suite member; never abort the suite.
+def _run_step(system, variant: str, task: str, wp: str, name: str,
+              timeout_s: float | None, fn):
+    """Run one suite member as a STAT step around its ``power.query``
+    span; never abort the suite.
 
     Arms a per-query clock deadline when ``timeout_s`` is set and
     degrades gracefully on robustness failures: a query killed by its
@@ -134,26 +134,38 @@ def _guarded(clock: SimulatedClock, metrics, label: str,
     power test continues with the remaining queries (the paper's "real
     world" never gets to abort a benchmark run and start over).
     """
-    span = clock.span()
-    token = None
-    if timeout_s is not None:
-        budget = timeout_s
+    clock = system.clock
+    span = system.tracer.span("power.query", layer="abap",
+                              capture_metrics=True, name=name,
+                              variant=variant)
+    with system.monitor.step(span, task, name, wp=wp) as step:
+        started = clock.span()
+        token = None
+        if timeout_s is not None:
+            token = clock.push_deadline(
+                clock.now + timeout_s, lambda: StatementTimeout(
+                    f"{name} exceeded {timeout_s}s (simulated)"))
+        value, reason = None, None
+        try:
+            value = fn()
+        except TransientError as exc:
+            system.metrics.count("powertest.failures")
+            reason = f"{type(exc).__name__}: {exc}"
+            step.outcome = "failed"
+        finally:
+            if token is not None:
+                clock.pop_deadline(token)
+        elapsed = started.stop()
+        step.set(elapsed_s=elapsed, failed=reason is not None)
+    return elapsed, value, reason
 
-        def timed_out() -> Exception:
-            return StatementTimeout(
-                f"{label} exceeded {budget}s (simulated)"
-            )
 
-        token = clock.push_deadline(clock.now + budget, timed_out)
-    try:
-        value = fn()
-        return span.stop(), value, None
-    except TransientError as exc:
-        metrics.count("powertest.failures")
-        return span.stop(), None, f"{type(exc).__name__}: {exc}"
-    finally:
-        if token is not None:
-            clock.pop_deadline(token)
+def _instrument(result: PowerTestResult, variant: str, system,
+                tracing: bool, monitoring: bool) -> None:
+    if tracing:
+        result.traces[variant] = system.tracer.enable()
+    if monitoring:
+        result.monitors[variant] = system.monitor.enable()
 
 
 def run_power_test(
@@ -185,12 +197,7 @@ def run_power_test(
     if "rdbms" in variants:
         db = load_original(data, params=params, degree=degree,
                            storage=storage)
-        if tracing:
-            db.tracer.enable()
-            result.traces["rdbms"] = db.tracer
-        if monitoring:
-            db.monitor.enable()
-            result.monitors["rdbms"] = db.monitor
+        _instrument(result, "rdbms", db, tracing, monitoring)
         (result.times["rdbms"], result.row_counts["rdbms"],
          result.failures["rdbms"]) = _run_rdbms(
             db, scale_factor, refresh, doomed, include_updates,
@@ -209,27 +216,16 @@ def run_power_test(
     for i, variant in enumerate(sap_needed):
         r3 = build_sap_system(data, version, params, degree=degree,
                               storage=storage)
-        if tracing:
-            r3.tracer.enable()
-            result.traces[variant] = r3.tracer
-        if monitoring:
-            r3.monitor.enable()
-            result.monitors[variant] = r3.monitor
+        _instrument(result, variant, r3, tracing, monitoring)
         times: dict[str, float] = {}
         counts: dict[str, int] = {}
         failed: dict[str, str] = {}
         for number in range(1, 18):
             name = f"Q{number}"
             suite_fn = sap_suites[variant][number]
-            step = r3.monitor.begin_step("dialog", name, wp="PWR")
-            with r3.tracer.span("power.query", capture_metrics=True,
-                                name=name, variant=variant) as qspan:
-                elapsed, rows, reason = _guarded(
-                    r3.clock, r3.metrics, name, query_timeout_s,
-                    lambda fn=suite_fn: fn(r3))
-                qspan.set(elapsed_s=elapsed, failed=reason is not None)
-            r3.monitor.end_step(
-                step, outcome="completed" if reason is None else "failed")
+            elapsed, rows, reason = _run_step(
+                r3, variant, "dialog", "PWR", name, query_timeout_s,
+                lambda fn=suite_fn: fn(r3))
             times[name] = elapsed
             if reason is None:
                 counts[name] = len(rows)
@@ -241,16 +237,9 @@ def run_power_test(
                 # implementation; measure once, record for both.
                 for name, fn in (("UF1", lambda: run_uf1_sap(r3, refresh)),
                                  ("UF2", lambda: run_uf2_sap(r3, doomed))):
-                    step = r3.monitor.begin_step("update", name, wp="PWR")
-                    with r3.tracer.span("power.query", capture_metrics=True,
-                                        name=name, variant=variant) as uspan:
-                        elapsed, _, reason = _guarded(
-                            r3.clock, r3.metrics, name, query_timeout_s, fn)
-                        uspan.set(elapsed_s=elapsed,
-                                  failed=reason is not None)
-                    r3.monitor.end_step(
-                        step,
-                        outcome="completed" if reason is None else "failed")
+                    elapsed, _, reason = _run_step(
+                        r3, variant, "update", "PWR", name, query_timeout_s,
+                        fn)
                     uf_times[name] = elapsed
                     if reason is not None:
                         uf_failures[name] = reason
@@ -274,15 +263,9 @@ def _run_rdbms(db: Database, scale_factor: float, refresh: TpcdData,
     for number in sorted(specs):
         name = f"Q{number}"
         spec = specs[number]
-        step = db.monitor.begin_step("dialog", name, wp="SQL")
-        with db.tracer.span("power.query", capture_metrics=True,
-                            name=name, variant="rdbms") as qspan:
-            elapsed, rows, reason = _guarded(
-                db.clock, db.metrics, name, query_timeout_s,
-                lambda s=spec: run_query(db, s))
-            qspan.set(elapsed_s=elapsed, failed=reason is not None)
-        db.monitor.end_step(
-            step, outcome="completed" if reason is None else "failed")
+        elapsed, rows, reason = _run_step(
+            db, "rdbms", "dialog", "SQL", name, query_timeout_s,
+            lambda s=spec: run_query(db, s))
         times[name] = elapsed
         if reason is None:
             counts[name] = len(rows.rows)
@@ -291,14 +274,8 @@ def _run_rdbms(db: Database, scale_factor: float, refresh: TpcdData,
     if include_updates:
         for name, fn in (("UF1", lambda: run_uf1_rdbms(db, refresh)),
                          ("UF2", lambda: run_uf2_rdbms(db, doomed))):
-            step = db.monitor.begin_step("update", name, wp="SQL")
-            with db.tracer.span("power.query", capture_metrics=True,
-                                name=name, variant="rdbms") as uspan:
-                elapsed, _, reason = _guarded(
-                    db.clock, db.metrics, name, query_timeout_s, fn)
-                uspan.set(elapsed_s=elapsed, failed=reason is not None)
-            db.monitor.end_step(
-                step, outcome="completed" if reason is None else "failed")
+            elapsed, _, reason = _run_step(
+                db, "rdbms", "update", "SQL", name, query_timeout_s, fn)
             times[name] = elapsed
             if reason is not None:
                 failed[name] = reason

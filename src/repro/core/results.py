@@ -5,12 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.sim.clock import format_duration
-from repro.tables import kb_cell, render_table
-
-__all__ = [
-    "ROBUSTNESS_COUNTERS", "duration_cell", "kb_cell", "ratio",
-    "render_table", "robustness_summary", "shape_report",
-]
+from repro.tables import kb_cell, render_table  # noqa: F401  (re-export)
 
 
 def duration_cell(seconds: float | None) -> str:

@@ -26,6 +26,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.exec.base import ExecContext
+from repro.engine.exec.profile import attach_profile
 from repro.engine.expr import Expr, OutputSchema, predicate_holds
 from repro.engine.parallel import ParallelPolicy, PartitionManager
 from repro.engine.plan.binder import bind_expr
@@ -51,7 +52,6 @@ from repro.sim.clock import SimulatedClock
 from repro.sim.disk import DiskModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
-from repro.trace.tracer import Tracer
 
 
 @dataclass
@@ -156,10 +156,9 @@ class Database:
                                self.buffer_pool)
         self._planner = Planner(self.catalog, self.stats, self.ctx)
         #: hierarchical span tracer (disabled by default, zero-overhead)
-        self.tracer = Tracer(self.clock, self.metrics)
-        self.ctx.tracer = self.tracer
+        self.tracer = self.ctx.tracer
         #: always-on workload monitor (disabled by default, zero-tick)
-        self.monitor = WorkloadMonitor(self.clock, self.metrics)
+        self.monitor = WorkloadMonitor(self.tracer)
         #: version-checked partition overlays for parallel scans
         self.partitions = PartitionManager(self.ctx)
         self._partition_choices: dict[str, tuple[str, str]] = {}
@@ -175,9 +174,8 @@ class Database:
             #: remembered so Database.open reopens with the same backend
             wal_store.storage = storage
             self.wal = WriteAheadLog(wal_store, self.clock, self.metrics,
-                                     self.disk, self.params)
+                                     self.disk, self.params, self.tracer)
             self.wal.snapshot_provider = self._snapshot_for_checkpoint
-            self.wal.monitor = self.monitor
         if storage == "lsm":
             # Monitor gauge: pending L0 segments across all tables.
             # Only attached for LSM databases, so heap-only runs stay
@@ -327,26 +325,18 @@ class Database:
 
     def _plan(self, stmt: SelectStmt, sql: str | None = None) -> PlannedQuery:
         self.metrics.count("db.plans")
-        with self.monitor.layer("engine"):
+        with self.tracer.span("db.plan", layer="engine", sql=sql):
             self.clock.charge(self.params.plan_cpu_s)
-            with self.tracer.span("db.plan", sql=sql):
-                return self._planner.plan_select(stmt)
+            return self._planner.plan_select(stmt)
 
     def _run_plan(self, plan: PlannedQuery, params: Sequence[object],
                   sql: str | None = None) -> Result:
         self.metrics.count("db.queries")
-        tracer = self.tracer
-        if not tracer.enabled:
-            with self.monitor.layer("engine"):
-                rows = list(plan.operator.rows(params))
-            return Result(plan.column_names, rows)
-        # EXPLAIN ANALYZE mode: instrument the plan (idempotent; the
-        # profile accumulates across executions of a cached cursor).
-        from repro.engine.exec.profile import attach_profile
-
-        profile = attach_profile(plan.operator, self.clock, self.metrics)
-        with tracer.span("db.query", sql=sql) as span, \
-                self.monitor.layer("engine"):
+        # EXPLAIN ANALYZE while tracing: instrument the plan (idempotent;
+        # the profile accumulates across executions of a cached cursor).
+        profile = (attach_profile(plan.operator, self.clock, self.metrics)
+                   if self.tracer.enabled else None)
+        with self.tracer.span("db.query", layer="engine", sql=sql) as span:
             rows = list(plan.operator.rows(params))
             span.set(rows=len(rows), profile=profile)
         return Result(plan.column_names, rows)
@@ -355,9 +345,8 @@ class Database:
 
     def _execute_dml(self, stmt, params: Sequence[object],
                      sql: str | None = None) -> Result:
-        with self.tracer.span("db.dml", sql=sql,
-                              kind=type(stmt).__name__) as span, \
-                self.monitor.layer("engine"):
+        with self.tracer.span("db.dml", layer="engine", sql=sql,
+                              kind=type(stmt).__name__) as span:
             wal = self.wal
             if wal is not None and not wal.in_txn and not wal.dead \
                     and not wal.recovering:

@@ -9,6 +9,7 @@ from repro.engine.expr import OutputSchema
 from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
+from repro.trace.tracer import Tracer
 
 #: rough in-memory width used for spill decisions on derived rows
 ESTIMATED_COLUMN_BYTES = 16
@@ -28,10 +29,9 @@ class ExecContext:
         self.metrics = metrics
         self.params = params
         self.buffer_pool = buffer_pool
-        #: the owning Database's tracer, installed post-construction so
-        #: parallel fragments can record lane spans; None outside a
-        #: Database (unit tests build bare contexts)
-        self.tracer = None
+        #: the tracer parallel fragments record lane spans into (the
+        #: owning Database's; disabled until the Database enables it)
+        self.tracer = Tracer(clock, metrics)
         self._spill_counter = 0
 
     def charge_tuples(self, count: int) -> None:

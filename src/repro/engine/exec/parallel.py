@@ -44,15 +44,6 @@ from repro.engine.parallel.partition import (
     stable_hash,
 )
 from repro.engine.table import Table
-from repro.trace.tracer import NOOP_SPAN
-
-
-def _span(ctx: ExecContext, name: str, **attrs: object):
-    """A tracer span, or the no-op span outside a Database context."""
-    tracer = ctx.tracer
-    if tracer is None:
-        return NOOP_SPAN
-    return tracer.span(name, **attrs)
 
 
 def key_hash(key: tuple, seed: int = 0) -> int:
@@ -152,12 +143,12 @@ class Gather(Operator):
         ship_s = ctx.params.parallel_ship_tuple_s
         lanes = LaneSet(clock, self.degree)
         outputs: list[list[tuple]] = []
-        with _span(ctx, "exec.fragment", operator=self.label,
+        with ctx.tracer.span("exec.fragment", operator=self.label,
                    degree=self.degree) as fragment:
             for index, op in enumerate(self.lane_ops):
                 def work(op: Operator = op,
                          index: int = index) -> list[tuple]:
-                    with _span(ctx, "exec.lane", lane=index,
+                    with ctx.tracer.span("exec.lane", lane=index,
                                parallel=True) as lane_span:
                         rows = list(op.rows(params))
                         clock.charge(len(rows) * ship_s)
@@ -452,13 +443,13 @@ class ParallelHashJoin(Operator):
         degree = self.degree
         lanes = LaneSet(clock, degree)
         outputs: list[list[tuple]] = [[] for _ in range(degree)]
-        with _span(ctx, "exec.fragment", operator="ParallelHashJoin",
+        with ctx.tracer.span("exec.fragment", operator="ParallelHashJoin",
                    strategy=self.strategy, degree=degree) as fragment:
             if self.strategy == "broadcast":
                 for index, probe in enumerate(self.probe_lane_ops):
                     def work(index: int = index,
                              probe: Operator = probe) -> None:
-                        with _span(ctx, "exec.lane", lane=index,
+                        with ctx.tracer.span("exec.lane", lane=index,
                                    parallel=True) as lane_span:
                             # Receiving the broadcast copy + building.
                             clock.charge(len(build_keyed)
@@ -479,14 +470,14 @@ class ParallelHashJoin(Operator):
                 ]
 
                 def shuffle(index: int, probe: Operator) -> None:
-                    with _span(ctx, "exec.lane", lane=index, phase=1,
+                    with ctx.tracer.span("exec.lane", lane=index, phase=1,
                                parallel=True):
                         shuffled[index][:] = Repartition(
                             ctx, degree, self.seed
                         ).route(self._keyed_probe(probe, params))
 
                 def probe_bucket(index: int) -> None:
-                    with _span(ctx, "exec.lane", lane=index, phase=2,
+                    with ctx.tracer.span("exec.lane", lane=index, phase=2,
                                parallel=True) as lane_span:
                         table = self._hash_table(build_shards[index])
                         clock.charge(len(build_shards[index])

@@ -47,6 +47,7 @@ from repro.sim.clock import SimulatedClock
 from repro.sim.disk import DiskModel
 from repro.sim.metrics import MetricsCollector
 from repro.sim.params import SimParams
+from repro.trace.tracer import Tracer
 
 # -- record kinds ------------------------------------------------------------
 
@@ -395,16 +396,17 @@ class WriteAheadLog:
         metrics: MetricsCollector,
         disk: DiskModel,
         params: SimParams,
+        tracer: Tracer,
     ) -> None:
         self.store = store
         self._clock = clock
+        #: flushes run under its node-less ``commit`` layer probe
+        self._tracer = tracer
         self._metrics = metrics
         self._disk = disk
         self._params = params
         #: optional FaultInjector; drives crash/torn-write injection
         self.faults = None
-        #: optional WorkloadMonitor; flushes run under its commit layer
-        self.monitor = None
         #: set once a SimulatedCrash killed this engine instance
         self.dead = False
         #: set while recovery replays history (suppresses re-logging)
@@ -553,11 +555,8 @@ class WriteAheadLog:
         """
         if self.dead or not self._buffer:
             return
-        if self.monitor is None:
+        with self._tracer.layer("commit"):
             self._flush_buffer()
-        else:
-            with self.monitor.layer("commit"):
-                self._flush_buffer()
 
     def _flush_buffer(self) -> None:
         buffered = self._buffer

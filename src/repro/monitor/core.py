@@ -1,23 +1,22 @@
-"""The workload monitor: STAT records, layer accounting, gauge series.
+"""The workload monitor: STAT records, ST04 statements, gauge series.
 
-One :class:`WorkloadMonitor` lives on every engine (and is shared by
-the R/3 system wrapped around it, exactly like the clock and metrics).
-Three collection surfaces:
+One :class:`WorkloadMonitor` lives on every engine (shared by the R/3
+system around it, like the clock, metrics and tracer).  It keeps no
+timing stack of its own: while enabled it is the *layer sink* of the
+engine's :class:`~repro.trace.tracer.Tracer`, whose layer-tagged spans
+then account each tick to the innermost open layer.  Three collection
+surfaces sit on that one stream:
 
-* **Layer accounting** — instrumented code wraps its work in
-  ``with monitor.layer("dbif"):`` blocks.  Attribution is *exclusive*
-  top-of-stack: at any simulated instant the elapsed ticks belong to
-  the innermost open layer, so nesting (engine inside DBIF inside the
-  dialog step's base ABAP layer, WAL commit inside engine) decomposes a
-  step without double counting.
-
-* **STAT records** — the dispatcher (or the power-test loop) brackets a
-  dialog step with :meth:`~WorkloadMonitor.begin_step` /
-  :meth:`~WorkloadMonitor.end_step`; the step's response time is
-  decomposed into queue wait, roll-in/out, ABAP, DBIF, engine and
-  commit seconds that sum *exactly* to the response time (float
-  residue is folded into the ABAP component and reported in
+* **STAT records** — the dispatcher (or the power-test loop) runs each
+  dialog step as ``with monitor.step(span, task, label, ...)`` around
+  an ``abap``-layer span.  The record holds the step's deltas of the
+  tracer's per-layer totals — queue wait, roll-in/out, ABAP, DBIF,
+  engine and commit seconds — which sum *exactly* to the response time
+  (float residue is folded into the ABAP component and reported in
   ``residual_s``).  Records live in a fixed-size ring.
+
+* **ST04 statements** — every successful ``dbif`` window is charged,
+  with its rows, to its statement text.
 
 * **Gauges** — windowed rates (buffer quality, cursor-cache and
   buffer-pool hit rates, breaker trip/fast-fail events) computed from
@@ -37,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.monitor.alerts import AlertEngine, default_alert_rules
@@ -62,40 +61,11 @@ _RATE_GAUGES = (
 
 _WHITESPACE = re.compile(r"\s+")
 
-
-class _NoopLayer:
-    """Shared do-nothing layer; the disabled-mode return of ``layer()``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopLayer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-#: the singleton no-op layer (identity-testable, never allocates)
-NOOP_LAYER = _NoopLayer()
-
-
-class _Layer:
-    """Reusable push/pop token for one layer name (state lives in the
-    monitor, so one token per name serves arbitrarily nested blocks)."""
-
-    __slots__ = ("_monitor", "_name")
-
-    def __init__(self, monitor: "WorkloadMonitor", name: str) -> None:
-        self._monitor = monitor
-        self._name = name
-
-    def __enter__(self) -> "_Layer":
-        self._monitor._push(self._name)
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self._monitor._pop(self._name)
-        return False
+#: the keys of a serialised STAT record, in report order
+_STAT_KEYS = ("seq", "task", "label", "stream", "wp", "server", "outcome",
+              "start_s", "end_s", "response_s", "queue_wait_s", "rollin_s",
+              "rollout_s", "abap_s", "dbif_s", "engine_s", "commit_s",
+              "residual_s")
 
 
 @dataclass
@@ -143,45 +113,48 @@ class StatRecord:
                 + self.commit_s)
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "task": self.task,
-            "label": self.label,
-            "stream": self.stream,
-            "wp": self.wp,
-            "server": self.server,
-            "outcome": self.outcome,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "response_s": self.response_s,
-            "queue_wait_s": self.queue_wait_s,
-            "rollin_s": self.rollin_s,
-            "rollout_s": self.rollout_s,
-            "abap_s": self.abap_s,
-            "dbif_s": self.dbif_s,
-            "engine_s": self.engine_s,
-            "commit_s": self.commit_s,
-            "residual_s": self.residual_s,
-        }
+        return {key: getattr(self, key) for key in _STAT_KEYS}
 
 
-class _OpenStep:
-    """Bookkeeping for a step between begin_step and end_step."""
+@dataclass(eq=False)
+class Step:
+    """One dialog step: an ``abap``-layer span whose close writes a STAT
+    record to :attr:`record` (``None`` while the monitor is off, and for
+    a step nested in another: the outer record owns the window).
 
-    __slots__ = ("task", "label", "stream", "wp", "queue_wait_s",
-                 "start_s", "base", "server")
+    ``set(**attrs)`` annotates the span, and an ``outcome`` among them
+    is the record's too; a step that raises is recorded ``failed``.
+    """
 
-    def __init__(self, task: str, label: str, stream: int, wp: str,
-                 queue_wait_s: float, start_s: float,
-                 base: dict[str, float], server: str = "") -> None:
-        self.task = task
-        self.label = label
-        self.stream = stream
-        self.wp = wp
-        self.queue_wait_s = queue_wait_s
-        self.start_s = start_s
-        self.base = base
-        self.server = server
+    monitor: "WorkloadMonitor"
+    span: object
+    task: str
+    label: str
+    stream: int = 0
+    wp: str = ""
+    queue_wait_s: float = 0.0
+    server: str = ""
+    outcome: str = "completed"
+    start_s: float = 0.0
+    base: dict = field(default_factory=dict)
+    record: StatRecord | None = None
+
+    def __enter__(self) -> "Step":
+        self.span.__enter__()
+        self.monitor._open(self)
+        return self
+
+    def __exit__(self, exc_type, *exc_info: object) -> bool:
+        self.span.__exit__(exc_type, *exc_info)
+        if exc_type is not None:
+            self.outcome = "failed"
+        self.monitor._close(self)
+        return False
+
+    def set(self, **attrs: object) -> "Step":
+        self.outcome = attrs.get("outcome", self.outcome)
+        self.span.set(**attrs)
+        return self
 
 
 @dataclass
@@ -259,13 +232,15 @@ def statement_fingerprint(sql: str) -> str:
 class WorkloadMonitor:
     """Always-on workload statistics for one simulated system."""
 
-    def __init__(self, clock, metrics, stat_capacity: int = 1024,
+    def __init__(self, tracer, stat_capacity: int = 1024,
                  series_capacity: int = 512,
                  statement_capacity: int = 512,
                  sample_interval_s: float = 1.0,
                  rules=None) -> None:
-        self._clock = clock
-        self._metrics = metrics
+        #: the tracer whose layer-tagged spans feed this monitor
+        self.tracer = tracer
+        self._clock = tracer.clock
+        self._metrics = tracer.metrics
         self.enabled = False
         self.stat_capacity = stat_capacity
         self.series_capacity = series_capacity
@@ -276,11 +251,7 @@ class WorkloadMonitor:
         self.series: dict[str, RingSeries] = {}
         self.alerts = AlertEngine(
             list(rules) if rules is not None else default_alert_rules())
-        self._tokens: dict[str, _Layer] = {}
-        self._stack: list[str] = []
-        self._last_mark = 0.0
-        self._totals: dict[str, float] = {}
-        self._step: _OpenStep | None = None
+        self._step: Step | None = None
         self._seq = 0
         self._window_snap = None
         self._last_sample_t: float | None = None
@@ -291,7 +262,7 @@ class WorkloadMonitor:
     def enable(self) -> "WorkloadMonitor":
         if not self.enabled:
             self.enabled = True
-            self._last_mark = self._clock.now
+            self.tracer.attach_sink(self)
             self._window_snap = self._metrics.snapshot()
             self._last_sample_t = self._clock.now
         return self
@@ -300,7 +271,7 @@ class WorkloadMonitor:
         """Stop collecting.  Open layer state is discarded; a step that
         is still open is abandoned (its record is never written)."""
         self.enabled = False
-        self._stack.clear()
+        self.tracer.detach_sink()
         self._step = None
         return self
 
@@ -314,73 +285,37 @@ class WorkloadMonitor:
         """
         self._sources[name] = fn
 
-    # -- layer accounting ------------------------------------------------
-
-    def layer(self, name: str):
-        """Context manager attributing enclosed ticks to ``name``."""
-        if not self.enabled:
-            return NOOP_LAYER
-        token = self._tokens.get(name)
-        if token is None:
-            token = self._tokens[name] = _Layer(self, name)
-        return token
-
-    def _settle(self) -> None:
-        now = self._clock.now
-        if self._stack:
-            elapsed = now - self._last_mark
-            if elapsed:
-                top = self._stack[-1]
-                self._totals[top] = self._totals.get(top, 0.0) + elapsed
-        self._last_mark = now
-
-    def _push(self, name: str) -> None:
-        self._settle()
-        self._stack.append(name)
-
-    def _pop(self, name: str) -> None:
-        self._settle()
-        if self._stack and self._stack[-1] == name:
-            self._stack.pop()
-        elif name in self._stack:
-            # Unbalanced exit (an exception unwound past an inner
-            # layer): drop everything above, keep accounting sane.
-            while self._stack.pop() != name:
-                pass
-
     # -- STAT records ----------------------------------------------------
 
-    def begin_step(self, task: str, label: str, stream: int = 0,
-                   wp: str = "", queue_wait_s: float = 0.0,
-                   server: str = ""):
-        """Open a dialog step; returns an opaque handle (or ``None``
-        when disabled, or when a step is already open — nested steps
-        are suppressed so the outer record owns the whole window)."""
-        if not self.enabled or self._step is not None:
-            return None
-        self._push("abap")
-        step = _OpenStep(task, label, stream, wp, queue_wait_s,
-                         self._clock.now, dict(self._totals),
-                         server=server)
-        self._step = step
-        return step
+    def step(self, span, task: str, label: str, **fields) -> Step:
+        """A dialog step around ``span``, a tracer span tagged
+        ``layer="abap"`` (the step's base layer); ``fields`` are the
+        step's ``stream``, ``wp``, ``queue_wait_s`` and ``server``."""
+        return Step(self, span, task, label, **fields)
 
-    def end_step(self, step, outcome: str = "completed"):
-        """Close a step, append its :class:`StatRecord` to the ring."""
-        if step is None or step is not self._step:
-            return None
-        self._pop("abap")
+    def _open(self, step: Step) -> None:
+        if not self.enabled or self._step is not None:
+            return
+        step.start_s = self._clock.now
+        step.base = dict(self.tracer.layer_s)
+        self._step = step
+
+    def _close(self, step: Step) -> None:
+        """Append the closed step's :class:`StatRecord` to the ring."""
+        if step is not self._step:
+            return
         self._step = None
         now = self._clock.now
         base = step.base
+        totals = self.tracer.layer_s
         deltas = {
-            name: self._totals.get(name, 0.0) - base.get(name, 0.0)
+            name: totals.get(name, 0.0) - base.get(name, 0.0)
             for name in STEP_LAYERS
         }
         self._seq += 1
         record = StatRecord(
             seq=self._seq, task=step.task, label=step.label,
-            stream=step.stream, wp=step.wp, outcome=outcome,
+            stream=step.stream, wp=step.wp, outcome=step.outcome,
             start_s=step.start_s, end_s=now,
             queue_wait_s=step.queue_wait_s, server=step.server,
             rollin_s=deltas["rollin"], rollout_s=deltas["rollout"],
@@ -398,11 +333,18 @@ class WorkloadMonitor:
             record.abap_s += residual
             residual = record.response_s - record.decomposed_s()
         self.stat_records.append(record)
+        step.record = record
         self._metrics.count("monitor.stat_records")
         self.maybe_sample()
-        return record
 
     # -- ST04 statement accounting ---------------------------------------
+
+    def layer_closed(self, probe, failed: bool) -> None:
+        """Layer-sink hook: charge each successful DBIF call's window."""
+        sql = probe.attrs.get("sql")
+        if probe.layer == "dbif" and not failed and sql is not None:
+            self.record_statement(sql, probe.elapsed_s,
+                                  probe.attrs.get("rows", 0))
 
     def record_statement(self, sql: str, db_s: float, rows: int) -> None:
         """Charge one DBIF call's DB time to its statement text."""

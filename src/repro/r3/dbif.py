@@ -168,10 +168,8 @@ class DatabaseInterface:
                       use_cursor_cache: bool = True) -> Result:
         """Round trip with a parameterized statement (plan cached)."""
         r3 = self._r3
-        monitor = r3.monitor
-        with r3.tracer.span("dbif.call", mode="param", sql=sql) as span, \
-                monitor.layer("dbif"):
-            started_at = r3.clock.now if monitor.enabled else 0.0
+        with r3.tracer.span("dbif.call", layer="dbif", mode="param",
+                            sql=sql) as span:
             self.breaker.before_call()
             try:
                 attempts = self._roundtrip()
@@ -198,9 +196,6 @@ class DatabaseInterface:
                 raise
             self.breaker.record_success()
             self._charge_shipping(result)
-            if monitor.enabled:
-                monitor.record_statement(
-                    sql, r3.clock.now - started_at, len(result.rows))
             span.set(rows=len(result.rows), roundtrips=attempts)
             return result
 
@@ -211,10 +206,8 @@ class DatabaseInterface:
         """Round trip with literal SQL: planned fresh, literals visible
         to the optimizer."""
         r3 = self._r3
-        monitor = r3.monitor
-        with r3.tracer.span("dbif.call", mode="literal", sql=sql) as span, \
-                monitor.layer("dbif"):
-            started_at = r3.clock.now if monitor.enabled else 0.0
+        with r3.tracer.span("dbif.call", layer="dbif", mode="literal",
+                            sql=sql) as span:
             self.breaker.before_call()
             try:
                 attempts = self._roundtrip()
@@ -227,9 +220,6 @@ class DatabaseInterface:
                 raise
             self.breaker.record_success()
             self._charge_shipping(result)
-            if monitor.enabled:
-                monitor.record_statement(
-                    sql, r3.clock.now - started_at, len(result.rows))
             span.set(rows=len(result.rows), roundtrips=attempts)
             return result
 

@@ -250,12 +250,12 @@ class Dispatcher:
             r3.metrics.count("dispatcher.queue_wait_s", queue_wait)
         task = ("update" if request.priority > PRIORITY_DIALOG
                 else "dialog")
-        step = r3.monitor.begin_step(
-            task, request.label, stream=request.stream, wp=wp.name,
-            queue_wait_s=queue_wait, server=r3.name)
-        with r3.tracer.span("dispatcher.serve", wp=wp.name,
-                            label=request.label,
-                            stream=request.stream) as span:
+        span = r3.tracer.span("dispatcher.serve", layer="abap", wp=wp.name,
+                              label=request.label, stream=request.stream)
+        with r3.monitor.step(span, task, request.label,
+                             stream=request.stream, wp=wp.name,
+                             queue_wait_s=queue_wait,
+                             server=r3.name) as step:
             try:
                 value, service_s = wp.serve(
                     r3, request.fn, self.rollin_s, self.rollout_s)
@@ -264,30 +264,26 @@ class Dispatcher:
                 request.requeues += 1
                 if request.requeues > self.config.max_requeues:
                     r3.metrics.count("dispatcher.shed")
-                    span.set(outcome="shed")
-                    r3.monitor.end_step(step, outcome="shed")
+                    step.set(outcome="shed")
                     return Completion(
                         request, "shed", queue_wait_s=queue_wait,
                         reason=f"requeue budget exhausted after "
                                f"{request.requeues - 1} crashes: {exc}")
                 r3.metrics.count("dispatcher.requeued")
                 self.queue.appendleft(request)
-                span.set(outcome="requeued")
-                r3.monitor.end_step(step, outcome="requeued")
+                step.set(outcome="requeued")
                 return Completion(request, "requeued",
                                   queue_wait_s=queue_wait,
                                   reason=f"{type(exc).__name__}: {exc}")
             except TransientError as exc:
                 r3.metrics.count("dispatcher.shed")
-                span.set(outcome="shed")
-                r3.monitor.end_step(step, outcome="shed")
+                step.set(outcome="shed")
                 return Completion(
                     request, "shed", queue_wait_s=queue_wait,
                     reason=f"{type(exc).__name__}: {exc}")
             r3.metrics.count("dispatcher.completed")
-            span.set(outcome="completed", service_s=service_s,
+            step.set(outcome="completed", service_s=service_s,
                      queue_wait_s=queue_wait)
-            r3.monitor.end_step(step)
             return Completion(request, "completed", service_s=service_s,
                               queue_wait_s=queue_wait, value=value)
 

@@ -30,15 +30,11 @@ class MetricsSnapshot:
         the same bytes under every hash seed.
         """
         current = self._collector._counts
-        base = self._base
         out: dict[str, float] = {}
-        for name, value in current.items():
-            change = value - base.get(name, 0)
+        for name in dict.fromkeys([*current, *self._base]):
+            change = current.get(name, 0) - self._base.get(name, 0)
             if change:
                 out[name] = change
-        for name, value in base.items():
-            if value and name not in current:
-                out[name] = -value
         return out
 
     def get(self, name: str) -> float:

@@ -1,9 +1,5 @@
-"""Monospace table rendering, free of any other ``repro`` import.
-
-Every layer prints paper-style tables (the workload monitor, the trace
-analyzer, the chaos and crash-fuzz reports, the experiment harness), so
-the renderer sits below all of them.
-"""
+"""Monospace tables, free of ``repro`` imports so that every layer (the
+monitor, the trace analyzer, the chaos reports, the harness) can print."""
 
 from __future__ import annotations
 

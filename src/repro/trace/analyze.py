@@ -2,19 +2,22 @@
 
 The :class:`TraceAnalyzer` turns a raw span tree into the paper-style
 decomposition: for every ``power.query`` span it splits the inclusive
-simulated time into
+simulated time by the spans' layer tags — a span's time belongs to its
+nearest tagged ancestor-or-self, the same exclusive attribution the
+workload monitor's STAT records use — into
 
-* **app-server** — ABAP interpreter, decode, internal tables, report
-  logic (everything above the database interface),
-* **DBIF** — round-trip latency, cursor cache, tuple shipping, backoff
-  (``dbif.call`` time minus the engine work nested inside it),
-* **engine** — planning + plan execution inside the RDBMS
-  (``db.plan`` / ``db.query`` / ``db.dml`` spans), and
+* **app-server** — layers ``abap``/``rollin``/``rollout``: ABAP
+  interpreter, decode, internal tables, report logic (everything above
+  the database interface),
+* **DBIF** — layer ``dbif``: round-trip latency, cursor cache, tuple
+  shipping, backoff,
+* **engine** — layers ``engine``/``commit``: planning + plan execution
+  inside the RDBMS, and
 * **disk** — the page-transfer seconds charged by the disk model (a
   sub-component of engine time, reported from span counter deltas).
 
-``app + dbif + engine == total`` holds exactly by construction; disk
-is informational ("of which disk").  On top of the per-query rows the
+``app + dbif + engine == total`` holds by construction; disk is
+informational ("of which disk").  On top of the per-query rows the
 analyzer aggregates the EXPLAIN ANALYZE operator profiles attached to
 ``db.query`` spans into a top-N hottest-operator list.
 """
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: engine-tier span names (never nested inside each other)
-_DB_SPAN_NAMES = frozenset({"db.query", "db.plan", "db.dml"})
+#: breakdown column of each layer tag (the STAT layers folded to three)
+LAYER_COLUMNS = {"abap": "app", "rollin": "app", "rollout": "app",
+                 "dbif": "dbif", "engine": "engine", "commit": "engine"}
 
 
 @dataclass
@@ -83,12 +87,15 @@ class OperatorTotals:
         }
 
 
-@dataclass
 class _LayerSums:
-    dbif_incl: float = 0.0
-    db_under_dbif: float = 0.0
-    db_direct: float = 0.0
-    dbif_calls: int = 0
+    """Seconds that tagged spans moved into and out of each column."""
+
+    __slots__ = ("entered", "left", "dbif_calls")
+
+    def __init__(self) -> None:
+        self.entered = {"app": 0.0, "dbif": 0.0, "engine": 0.0}
+        self.left = {"app": 0.0, "dbif": 0.0, "engine": 0.0}
+        self.dbif_calls = 0
 
 
 class TraceAnalyzer:
@@ -107,18 +114,19 @@ class TraceAnalyzer:
             if span.name != "power.query":
                 continue
             sums = _LayerSums()
-            self._collect_children(span.children, False, sums)
+            column = LAYER_COLUMNS.get(span.layer, "app")
+            self._collect_children(span.children, column, sums)
             total = span.elapsed_s
-            engine = sums.db_under_dbif + sums.db_direct
-            dbif = sums.dbif_incl - sums.db_under_dbif
-            app = total - sums.dbif_incl - sums.db_direct
+            seconds = {name: sums.entered[name] - sums.left[name]
+                       for name in sums.entered}
+            seconds[column] += total
             out.append(QueryBreakdown(
                 name=str(span.attrs.get("name", "?")),
                 variant=str(span.attrs.get("variant", "?")),
                 total_s=total,
-                app_s=app,
-                dbif_s=dbif,
-                engine_s=engine,
+                app_s=seconds["app"],
+                dbif_s=seconds["dbif"],
+                engine_s=seconds["engine"],
                 disk_s=span.counters.get("disk.time_s", 0.0),
                 roundtrips=span.counters.get("dbif.roundtrips", 0),
                 dbif_calls=sums.dbif_calls,
@@ -127,22 +135,18 @@ class TraceAnalyzer:
             ))
         return out
 
-    def _collect(self, span, inside_dbif: bool, sums: _LayerSums) -> None:
-        if span.name == "dbif.call":
-            sums.dbif_incl += span.elapsed_s
+    def _collect(self, span, column: str, sums: _LayerSums) -> None:
+        """Move ``span``'s time into its layer's column if that differs
+        from ``column``, the column of the enclosing layer."""
+        inner = LAYER_COLUMNS.get(span.layer, column)
+        if span.layer == "dbif":
             sums.dbif_calls += 1
-            inside_dbif = True
-        elif span.name in _DB_SPAN_NAMES:
-            if inside_dbif:
-                sums.db_under_dbif += span.elapsed_s
-            else:
-                sums.db_direct += span.elapsed_s
-            # db spans never nest in each other; no need to recurse for
-            # layer accounting, but keep walking for dbif sanity.
-            return
-        self._collect_children(span.children, inside_dbif, sums)
+        if inner != column:
+            sums.entered[inner] += span.elapsed_s
+            sums.left[column] += span.elapsed_s
+        self._collect_children(span.children, inner, sums)
 
-    def _collect_children(self, children, inside_dbif: bool,
+    def _collect_children(self, children, column: str,
                           sums: _LayerSums) -> None:
         """Walk child spans; concurrent siblings contribute max, not sum.
 
@@ -161,16 +165,16 @@ class TraceAnalyzer:
                 lane_groups.setdefault(
                     child.attrs.get("phase"), []).append(child)
             else:
-                self._collect(child, inside_dbif, sums)
+                self._collect(child, column, sums)
         for lanes in lane_groups.values():
             per_lane = []
             for lane in lanes:
                 lane_sums = _LayerSums()
-                self._collect(lane, inside_dbif, lane_sums)
+                self._collect(lane, column, lane_sums)
                 per_lane.append(lane_sums)
-            sums.dbif_incl += max(s.dbif_incl for s in per_lane)
-            sums.db_under_dbif += max(s.db_under_dbif for s in per_lane)
-            sums.db_direct += max(s.db_direct for s in per_lane)
+            for name in sums.entered:
+                sums.entered[name] += max(s.entered[name] for s in per_lane)
+                sums.left[name] += max(s.left[name] for s in per_lane)
             sums.dbif_calls += sum(s.dbif_calls for s in per_lane)
 
     # -- operator profiles -------------------------------------------------

@@ -8,15 +8,22 @@ tree that decomposes where the simulated time of a query went — the
 same where-did-the-time-go evidence SAP's ST05 SQL trace gives a
 basis consultant.
 
+A span may carry a *layer* tag (``abap``, ``dbif``, ``engine``; the
+node-less :meth:`Tracer.layer` probe adds ``rollin``, ``rollout`` and
+``commit``).  The tags are the system's one instrumentation plane: the
+span tree keeps them for the trace analyzer, and while a *layer sink*
+(the workload monitor) is attached the tracer accounts exclusive
+seconds per layer — with or without a span tree (DESIGN.md §9).
+
 Two invariants the whole subsystem relies on:
 
 * **The tracer never charges the clock.**  Spans only *read*
   ``clock.now`` at entry and exit, so enabling tracing changes the
   simulated duration of any run by exactly zero ticks.
-* **Disabled mode allocates nothing.**  When the tracer is disabled,
-  :meth:`Tracer.span` returns a shared no-op singleton — no ``Span``
-  object, no contextvar traffic, no metrics snapshot — so the hot
-  paths pay one attribute load and one branch.
+* **Disabled mode allocates nothing.**  With tree recording off and no
+  sink attached, :meth:`Tracer.span` returns a shared no-op singleton —
+  no ``Span`` object, no contextvar traffic, no metrics snapshot — so
+  the hot paths pay one attribute load and two branches.
 
 The current span is tracked in a per-tracer :mod:`contextvars`
 variable, so tracers from different systems (e.g. the three power-test
@@ -58,25 +65,70 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class Span:
-    """One traced window: name, attributes, children, clock readings.
+class LayerProbe:
+    """A layer-tagged window that feeds layer accounting but records no
+    span node (the tree is off or ``max_spans`` is spent, or it came
+    from :meth:`Tracer.layer`); the sink sees its attrs and readings."""
 
-    ``start_s``/``end_s`` are simulated seconds; ``end_s`` is ``None``
-    while the span is open.  ``counters`` holds the metric deltas
-    accumulated inside the span when it was opened with
-    ``capture_metrics=True``.
-    """
+    __slots__ = ("_tracer", "layer", "attrs", "start_s", "end_s")
 
-    __slots__ = ("name", "attrs", "start_s", "end_s", "children",
-                 "counters", "_tracer", "_token", "_scope")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict,
-                 capture_metrics: bool) -> None:
+    def __init__(self, tracer: "Tracer", layer: str | None,
+                 attrs: dict) -> None:
         self._tracer = tracer
-        self.name = name
+        self.layer = layer
         self.attrs = attrs
         self.start_s: float = 0.0
         self.end_s: float | None = None
+
+    def __enter__(self) -> "LayerProbe":
+        tracer = self._tracer
+        self.start_s = now = tracer.clock.now
+        if self.layer is not None and tracer.sink is not None:
+            tracer._push_layer(self.layer, now)
+        return self
+
+    def __exit__(self, exc_type, *exc_info: object) -> bool:
+        tracer = self._tracer
+        self.end_s = now = tracer.clock.now
+        if self.layer is not None and tracer.sink is not None:
+            tracer._pop_layer(self, now, exc_type is not None)
+        return False
+
+    # -- annotation and readings -------------------------------------------
+
+    def set(self, **attrs: object) -> "LayerProbe":
+        """Attach or overwrite attributes on this span."""
+        self.attrs.update(attrs)
+        return self
+
+    def add(self, name: str, amount: float = 1) -> "LayerProbe":
+        """Accumulate a numeric attribute (e.g. retries within a call)."""
+        self.attrs[name] = self.attrs.get(name, 0) + amount
+        return self
+
+    @property
+    def elapsed_s(self) -> float:
+        """Inclusive simulated seconds (to 'now' while still open)."""
+        end = self.end_s if self.end_s is not None else self._tracer.clock.now
+        return end - self.start_s
+
+
+class Span(LayerProbe):
+    """One traced window: name, layer, attributes, children, readings.
+
+    ``start_s``/``end_s`` are simulated seconds; ``end_s`` is ``None``
+    while the span is open.  ``layer`` is the span's layer tag or
+    ``None`` (the span belongs to its parent's layer).  ``counters``
+    holds the metric deltas accumulated inside the span when it was
+    opened with ``capture_metrics=True``.
+    """
+
+    __slots__ = ("name", "children", "counters", "_token", "_scope")
+
+    def __init__(self, tracer: "Tracer", name: str, layer: str | None,
+                 attrs: dict, capture_metrics: bool) -> None:
+        super().__init__(tracer, layer, attrs)
+        self.name = name
         self.children: list[Span] = []
         self.counters: dict[str, float] = {}
         self._token: contextvars.Token | None = None
@@ -87,16 +139,16 @@ class Span:
     # -- context manager ---------------------------------------------------
 
     def __enter__(self) -> "Span":
+        LayerProbe.__enter__(self)
         tracer = self._tracer
-        self.start_s = tracer.clock.now
         self._token = tracer._current.set(self)
         if self._scope is not None:
             self._scope.__enter__()
         return self
 
-    def __exit__(self, *exc_info: object) -> bool:
+    def __exit__(self, exc_type, *exc_info: object) -> bool:
+        LayerProbe.__exit__(self, exc_type)
         tracer = self._tracer
-        self.end_s = tracer.clock.now
         if self._scope is not None:
             self._scope.__exit__()
             self.counters = self._scope.delta
@@ -109,25 +161,7 @@ class Span:
             tracer.roots.append(self)
         return False
 
-    # -- annotation --------------------------------------------------------
-
-    def set(self, **attrs: object) -> "Span":
-        """Attach or overwrite attributes on this span."""
-        self.attrs.update(attrs)
-        return self
-
-    def add(self, name: str, amount: float = 1) -> "Span":
-        """Accumulate a numeric attribute (e.g. retries within a call)."""
-        self.attrs[name] = self.attrs.get(name, 0) + amount
-        return self
-
     # -- readings ----------------------------------------------------------
-
-    @property
-    def elapsed_s(self) -> float:
-        """Inclusive simulated seconds (to 'now' while still open)."""
-        end = self.end_s if self.end_s is not None else self._tracer.clock.now
-        return end - self.start_s
 
     @property
     def self_s(self) -> float:
@@ -148,10 +182,14 @@ class Span:
 class Tracer:
     """Span factory and trace store for one simulated system.
 
-    Disabled by default; ``enable()`` before the work to trace.  An
-    optional ``max_spans`` bounds memory on very large runs — spans
-    beyond the cap are silently replaced by the no-op span and counted
-    in :attr:`dropped`.
+    Tree recording is off by default; ``enable()`` before the work to
+    trace.  An optional ``max_spans`` bounds memory on very large runs —
+    spans beyond the cap record no node and are counted in
+    :attr:`dropped` (layer accounting goes on regardless).
+
+    While a sink is attached (:meth:`attach_sink`) the ticks between two
+    layer events accumulate in :attr:`layer_s` under the innermost open
+    layer, and ``sink.layer_closed(probe, failed)`` hears each close.
     """
 
     def __init__(self, clock: SimulatedClock,
@@ -168,6 +206,13 @@ class Tracer:
         self._current: contextvars.ContextVar[Span | None] = \
             contextvars.ContextVar(f"repro_trace_{next(_tracer_ids)}",
                                    default=None)
+        #: the layer sink while one listens (layer accounting runs then)
+        self.sink = None
+        #: exclusive simulated seconds per layer, accumulated while a
+        #: sink listens (kept across detach/attach)
+        self.layer_s: dict[str, float] = {}
+        self._layers: list[str] = []
+        self._mark = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -185,18 +230,41 @@ class Tracer:
         self.dropped = 0
         self.span_count = 0
 
+    def attach_sink(self, sink) -> None:
+        """Start layer accounting, reporting closed windows to ``sink``."""
+        self.sink = sink
+        self._mark = self.clock.now
+
+    def detach_sink(self) -> None:
+        """Stop layer accounting; the open-layer stack is discarded."""
+        self.sink = None
+        self._layers.clear()
+
     # -- span creation -----------------------------------------------------
 
-    def span(self, name: str, /, capture_metrics: bool = False,
-             **attrs: object):
-        """Open a span (context manager).  No-op when disabled."""
-        if not self.enabled:
-            return NOOP_SPAN
-        if self.max_spans is not None and self.span_count >= self.max_spans:
+    def span(self, name: str, /, layer: str | None = None,
+             capture_metrics: bool = False, **attrs: object):
+        """Open a span (context manager), tagged with ``layer`` if given.
+
+        A recorded :class:`Span` while enabled and under ``max_spans``;
+        otherwise a :class:`LayerProbe` for a tagged span while a sink
+        listens, else the no-op span.
+        """
+        if self.enabled:
+            if self.max_spans is None or self.span_count < self.max_spans:
+                self.span_count += 1
+                return Span(self, name, layer, attrs, capture_metrics)
             self.dropped += 1
+        if layer is None or self.sink is None:
             return NOOP_SPAN
-        self.span_count += 1
-        return Span(self, name, attrs, capture_metrics)
+        return LayerProbe(self, layer, attrs)
+
+    def layer(self, layer: str):
+        """A node-less probe charging its window to ``layer`` (roll-in,
+        roll-out and log flushes have no span of their own)."""
+        if self.sink is None:
+            return NOOP_SPAN
+        return LayerProbe(self, layer, {})
 
     def current(self):
         """The innermost open span, or the no-op span when none/disabled."""
@@ -204,6 +272,34 @@ class Tracer:
             return NOOP_SPAN
         span = self._current.get()
         return span if span is not None else NOOP_SPAN
+
+    # -- layer accounting --------------------------------------------------
+
+    def _settle(self, now: float) -> None:
+        layers = self._layers
+        if layers:
+            elapsed = now - self._mark
+            if elapsed:
+                top = layers[-1]
+                self.layer_s[top] = self.layer_s.get(top, 0.0) + elapsed
+        self._mark = now
+
+    def _push_layer(self, layer: str, now: float) -> None:
+        self._settle(now)
+        self._layers.append(layer)
+
+    def _pop_layer(self, probe: LayerProbe, now: float,
+                   failed: bool) -> None:
+        self._settle(now)
+        layers = self._layers
+        if layers and layers[-1] == probe.layer:
+            layers.pop()
+        elif probe.layer in layers:
+            # Unbalanced exit (an exception unwound past an inner
+            # layer): drop everything above, keep accounting sane.
+            while layers.pop() != probe.layer:
+                pass
+        self.sink.layer_closed(probe, failed)
 
     # -- reading -----------------------------------------------------------
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.monitor import (
-    NOOP_LAYER,
     AlertEngine,
     AlertRule,
     RingSeries,
@@ -17,6 +16,7 @@ from repro.monitor.core import statement_fingerprint
 from repro.monitor.profile import percentile
 from repro.sim.clock import SimulatedClock
 from repro.sim.metrics import MetricsCollector
+from repro.trace import NOOP_SPAN, Tracer
 
 #: tiny world so the integration runs stay fast in CI
 MONITOR_SF = 0.0005
@@ -25,7 +25,14 @@ MONITOR_SF = 0.0005
 def _bare_monitor(**kwargs):
     clock = SimulatedClock()
     metrics = MetricsCollector()
-    return WorkloadMonitor(clock, metrics, **kwargs), clock, metrics
+    tracer = Tracer(clock, metrics)
+    return WorkloadMonitor(tracer, **kwargs), clock, metrics
+
+
+def _step(monitor, label, **kwargs):
+    """A dialog step around an abap-layer span, as the harness runs one."""
+    span = monitor.tracer.span("power.query", layer="abap")
+    return monitor.step(span, "dialog", label, **kwargs)
 
 
 def _run_workload(monitoring):
@@ -68,28 +75,33 @@ def unmonitored():
 class TestLayerAccounting:
     def test_disabled_layer_is_the_noop_singleton(self):
         monitor, _clock, _metrics = _bare_monitor()
-        assert monitor.layer("dbif") is NOOP_LAYER
-        assert monitor.layer("engine") is NOOP_LAYER
+        tracer = monitor.tracer
+        assert tracer.span("dbif.call", layer="dbif") is NOOP_SPAN
+        assert tracer.span("db.query", layer="engine") is NOOP_SPAN
+        assert tracer.layer("commit") is NOOP_SPAN
 
     def test_begin_step_disabled_returns_none(self):
-        monitor, _clock, _metrics = _bare_monitor()
-        assert monitor.begin_step("dialog", "q1") is None
-        assert monitor.end_step(None) is None
+        monitor, clock, _metrics = _bare_monitor()
+        with _step(monitor, "q1") as step:
+            clock.charge(1.0)
+        assert step.record is None
+        assert len(monitor.stat_records) == 0
 
     def test_exclusive_attribution_with_nesting(self):
         monitor, clock, _metrics = _bare_monitor()
+        tracer = monitor.tracer
         monitor.enable()
-        step = monitor.begin_step("dialog", "q1", wp="D0")
-        clock.charge(1.0)                    # abap
-        with monitor.layer("dbif"):
-            clock.charge(2.0)                # dbif
-            with monitor.layer("engine"):
-                clock.charge(3.0)            # engine
-                with monitor.layer("commit"):
-                    clock.charge(0.25)       # commit
-            clock.charge(1.0)                # dbif again
-        clock.charge(0.5)                    # abap again
-        record = monitor.end_step(step)
+        with _step(monitor, "q1", wp="D0") as step:
+            clock.charge(1.0)                    # abap
+            with tracer.span("dbif.call", layer="dbif"):
+                clock.charge(2.0)                # dbif
+                with tracer.span("db.dml", layer="engine"):
+                    clock.charge(3.0)            # engine
+                    with tracer.layer("commit"):
+                        clock.charge(0.25)       # commit
+                clock.charge(1.0)                # dbif again
+            clock.charge(0.5)                    # abap again
+        record = step.record
         assert record.abap_s == pytest.approx(1.5)
         assert record.dbif_s == pytest.approx(3.0)
         assert record.engine_s == pytest.approx(3.0)
@@ -100,44 +112,52 @@ class TestLayerAccounting:
 
     def test_conservation_is_bit_exact(self):
         monitor, clock, _metrics = _bare_monitor()
+        tracer = monitor.tracer
         monitor.enable()
         # awkward float charges so naive regrouping would leave residue
-        step = monitor.begin_step("dialog", "q", queue_wait_s=0.1)
-        for amount in (0.1, 0.2, 0.3, 0.7, 1e-9, 0.111111):
-            clock.charge(amount)
-            with monitor.layer("dbif"):
-                clock.charge(amount / 3)
-                with monitor.layer("engine"):
-                    clock.charge(amount / 7)
-        record = monitor.end_step(step)
+        with _step(monitor, "q", queue_wait_s=0.1) as step:
+            for amount in (0.1, 0.2, 0.3, 0.7, 1e-9, 0.111111):
+                clock.charge(amount)
+                with tracer.span("dbif.call", layer="dbif"):
+                    clock.charge(amount / 3)
+                    with tracer.span("db.query", layer="engine"):
+                        clock.charge(amount / 7)
+        record = step.record
         assert record.decomposed_s() == record.response_s
 
     def test_nested_steps_are_suppressed(self):
         monitor, clock, _metrics = _bare_monitor()
         monitor.enable()
-        outer = monitor.begin_step("dialog", "outer")
-        assert monitor.begin_step("dialog", "inner") is None
-        clock.charge(1.0)
-        record = monitor.end_step(outer)
-        assert record is not None and record.label == "outer"
+        with _step(monitor, "outer") as outer:
+            with _step(monitor, "inner") as inner:
+                clock.charge(1.0)
+        assert inner.record is None
+        assert outer.record is not None and outer.record.label == "outer"
+        assert outer.record.abap_s == 1.0
         assert len(monitor.stat_records) == 1
 
     def test_unbalanced_exit_recovers_stack(self):
         monitor, clock, _metrics = _bare_monitor()
+        tracer = monitor.tracer
         monitor.enable()
-        monitor._push("dbif")
-        monitor._push("engine")
+        dbif = tracer.span("dbif.call", layer="dbif").__enter__()
+        tracer.span("db.query", layer="engine").__enter__()
         clock.charge(1.0)
-        monitor._pop("dbif")  # exception unwound past "engine"
-        assert monitor._stack == []
+        # an exception unwound past "engine" without closing it
+        dbif.__exit__(RuntimeError, RuntimeError("boom"), None)
+        assert tracer._layers == []
+        clock.charge(2.0)
+        with tracer.layer("commit"):
+            pass  # settles: the 2.0 s belong to no layer
+        assert tracer.layer_s == {"engine": 1.0}
 
     def test_disable_mid_step_abandons_the_record(self):
         monitor, clock, metrics = _bare_monitor()
         monitor.enable()
-        step = monitor.begin_step("dialog", "q")
-        clock.charge(1.0)
-        monitor.disable()
-        assert monitor.end_step(step) is None
+        with _step(monitor, "q") as step:
+            clock.charge(1.0)
+            monitor.disable()
+        assert step.record is None
         assert len(monitor.stat_records) == 0
         assert metrics.get("monitor.stat_records") == 0
 
@@ -145,10 +165,20 @@ class TestLayerAccounting:
         monitor, clock, metrics = _bare_monitor()
         monitor.enable()
         for i in range(3):
-            step = monitor.begin_step("dialog", f"q{i}")
-            clock.charge(0.5)
-            monitor.end_step(step)
+            with _step(monitor, f"q{i}"):
+                clock.charge(0.5)
         assert metrics.get("monitor.stat_records") == 3
+
+    def test_step_outcome_from_set_and_from_exceptions(self):
+        monitor, _clock, _metrics = _bare_monitor()
+        monitor.enable()
+        with _step(monitor, "shed") as step:
+            step.set(outcome="shed")
+        with pytest.raises(RuntimeError):
+            with _step(monitor, "boom"):
+                raise RuntimeError("boom")
+        assert [(r.label, r.outcome) for r in monitor.stat_records] == [
+            ("shed", "shed"), ("boom", "failed")]
 
 
 class TestRings:
@@ -156,9 +186,8 @@ class TestRings:
         monitor, clock, _metrics = _bare_monitor(stat_capacity=4)
         monitor.enable()
         for i in range(10):
-            step = monitor.begin_step("dialog", f"q{i}")
-            clock.charge(0.1)
-            monitor.end_step(step)
+            with _step(monitor, f"q{i}"):
+                clock.charge(0.1)
         assert len(monitor.stat_records) == 4
         assert monitor.stat_records[-1].seq == 10
         assert monitor.stat_records[0].seq == 7
@@ -381,12 +410,13 @@ class TestMonitoredWorkload:
         db.create_table(TableSchema(
             "t", [Column("id", SqlType.integer())], ["id"]))
         table = db.catalog.table("t")
-        step = db.monitor.begin_step("update", "ins", wp="UPD")
-        db.begin()
-        for i in range(5):
-            table.insert((i,))
-        db.commit()
-        record = db.monitor.end_step(step)
+        span = db.tracer.span("power.query", layer="abap")
+        with db.monitor.step(span, "update", "ins", wp="UPD") as step:
+            db.begin()
+            for i in range(5):
+                table.insert((i,))
+            db.commit()
+        record = step.record
         assert record.commit_s > 0
         assert record.decomposed_s() == record.response_s
 

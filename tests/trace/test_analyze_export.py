@@ -21,18 +21,18 @@ def traced_query(with_profile=False):
         profile.rows_out = 50
         profile.pages_read = 8.0
         profile.inclusive_s = 2.5
-    with tracer.span("power.query", capture_metrics=True,
+    with tracer.span("power.query", layer="abap", capture_metrics=True,
                      name="Q3", variant="open"):
         clock.charge(1.0)                      # app-server work
-        with tracer.span("dbif.call", mode="param"):
+        with tracer.span("dbif.call", layer="dbif", mode="param"):
             clock.charge(0.5)                  # shipping / latency
-            with tracer.span("db.query") as dbspan:
+            with tracer.span("db.query", layer="engine") as dbspan:
                 metrics.count("disk.time_s", 1.5)
                 clock.charge(2.5)              # engine incl. disk
                 if profile is not None:
                     dbspan.set(profile=profile)
             clock.charge(0.25)                 # more DBIF overhead
-        with tracer.span("db.query"):          # direct (no DBIF)
+        with tracer.span("db.query", layer="engine"):  # direct (no DBIF)
             clock.charge(0.75)
         clock.charge(0.5)                      # app-server epilogue
         metrics.count("dbif.roundtrips", 3)
@@ -70,9 +70,9 @@ class TestLayerAlgebra:
                     with clock.redirect(sink):
                         with tracer.span("exec.lane", lane=index,
                                          parallel=True):
-                            with tracer.span("dbif.call"):
+                            with tracer.span("dbif.call", layer="dbif"):
                                 clock.charge(ship)
-                                with tracer.span("db.query"):
+                                with tracer.span("db.query", layer="engine"):
                                     clock.charge(engine)
                 clock.charge(max(s.seconds for s in sinks))  # barrier
             clock.charge(0.2)                  # app-server epilogue
@@ -99,13 +99,27 @@ class TestLayerAlgebra:
                         with clock.redirect(LaneSink()):
                             with tracer.span("exec.lane", lane=index,
                                              phase=phase, parallel=True):
-                                with tracer.span("db.query"):
+                                with tracer.span("db.query", layer="engine"):
                                     clock.charge(cost)
                     clock.charge(max(costs))   # per-phase barrier
         b, = TraceAnalyzer(tracer).query_breakdowns()
         assert b.total_s == pytest.approx(0.7)
         assert b.engine_s == pytest.approx(0.7)    # max(phase1) + max(phase2)
         assert b.app_s == pytest.approx(0.0)
+
+    def test_layer_tag_not_span_name_decides_the_column(self):
+        clock = SimulatedClock()
+        tracer = Tracer(clock, MetricsCollector(), enabled=True)
+        with tracer.span("power.query", layer="abap", name="Q1"):
+            with tracer.span("dbif.call"):     # untagged: stays app time
+                clock.charge(1.0)
+            with tracer.span("custom.fetch", layer="dbif"):
+                clock.charge(0.5)
+                with tracer.span("custom.exec", layer="commit"):
+                    clock.charge(0.25)         # commit folds into engine
+        b, = TraceAnalyzer(tracer).query_breakdowns()
+        assert (b.app_s, b.dbif_s, b.engine_s) == (1.0, 0.5, 0.25)
+        assert b.dbif_calls == 1
 
     def test_summary_totals(self):
         summary = TraceAnalyzer(traced_query()).summary()
@@ -119,7 +133,7 @@ class TestLayerAlgebra:
         # attach the same profile object to a second db.query span, as
         # repeated executions of a cached plan do
         profile = tracer.find("db.query")[0].attrs["profile"]
-        with tracer.span("db.query") as extra:
+        with tracer.span("db.query", layer="engine") as extra:
             extra.set(profile=profile)
         ops = TraceAnalyzer(tracer).top_operators(5)
         op, = ops
