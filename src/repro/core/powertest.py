@@ -123,16 +123,19 @@ def build_sap_system(data: TpcdData, version: R3Version,
 
 
 def _run_step(system, variant: str, task: str, wp: str, name: str,
-              timeout_s: float | None, fn):
+              timeout_s: float | None, fn, times: dict[str, float],
+              failed: dict[str, str]):
     """Run one suite member as a STAT step around its ``power.query``
     span; never abort the suite.
 
-    Arms a per-query clock deadline when ``timeout_s`` is set and
-    degrades gracefully on robustness failures: a query killed by its
-    timeout or by an exhausted fault-retry budget is reported as
-    ``(partial_elapsed, None, reason)`` instead of raising, so the
-    power test continues with the remaining queries (the paper's "real
-    world" never gets to abort a benchmark run and start over).
+    Records the simulated seconds in ``times[name]`` and returns
+    ``fn()``.  Arms a per-query clock deadline when ``timeout_s`` is set
+    and degrades gracefully on robustness failures: a query killed by
+    its timeout or by an exhausted fault-retry budget gets its reason in
+    ``failed[name]``, its partial charge as its time, and returns
+    ``None`` instead of raising, so the power test continues with the
+    remaining queries (the paper's "real world" never gets to abort a
+    benchmark run and start over).
     """
     clock = system.clock
     span = system.tracer.span("power.query", layer="abap",
@@ -157,7 +160,10 @@ def _run_step(system, variant: str, task: str, wp: str, name: str,
                 clock.pop_deadline(token)
         elapsed = started.stop()
         step.set(elapsed_s=elapsed, failed=reason is not None)
-    return elapsed, value, reason
+    times[name] = elapsed
+    if reason is not None:
+        failed[name] = reason
+    return value
 
 
 def _instrument(result: PowerTestResult, variant: str, system,
@@ -222,27 +228,20 @@ def run_power_test(
         failed: dict[str, str] = {}
         for number in range(1, 18):
             name = f"Q{number}"
-            suite_fn = sap_suites[variant][number]
-            elapsed, rows, reason = _run_step(
-                r3, variant, "dialog", "PWR", name, query_timeout_s,
-                lambda fn=suite_fn: fn(r3))
-            times[name] = elapsed
-            if reason is None:
+            rows = _run_step(r3, variant, "dialog", "PWR", name,
+                             query_timeout_s,
+                             lambda fn=sap_suites[variant][number]: fn(r3),
+                             times, failed)
+            if name not in failed:
                 counts[name] = len(rows)
-            else:
-                failed[name] = reason
         if include_updates:
             if not uf_times:
                 # Both SAP variants use the identical batch-input
                 # implementation; measure once, record for both.
                 for name, fn in (("UF1", lambda: run_uf1_sap(r3, refresh)),
                                  ("UF2", lambda: run_uf2_sap(r3, doomed))):
-                    elapsed, _, reason = _run_step(
-                        r3, variant, "update", "PWR", name, query_timeout_s,
-                        fn)
-                    uf_times[name] = elapsed
-                    if reason is not None:
-                        uf_failures[name] = reason
+                    _run_step(r3, variant, "update", "PWR", name,
+                              query_timeout_s, fn, uf_times, uf_failures)
             times.update(uf_times)
             failed.update(uf_failures)
         r3.monitor.finish()
@@ -262,21 +261,14 @@ def _run_rdbms(db: Database, scale_factor: float, refresh: TpcdData,
     failed: dict[str, str] = {}
     for number in sorted(specs):
         name = f"Q{number}"
-        spec = specs[number]
-        elapsed, rows, reason = _run_step(
-            db, "rdbms", "dialog", "SQL", name, query_timeout_s,
-            lambda s=spec: run_query(db, s))
-        times[name] = elapsed
-        if reason is None:
+        rows = _run_step(db, "rdbms", "dialog", "SQL", name, query_timeout_s,
+                         lambda s=specs[number]: run_query(db, s),
+                         times, failed)
+        if name not in failed:
             counts[name] = len(rows.rows)
-        else:
-            failed[name] = reason
     if include_updates:
         for name, fn in (("UF1", lambda: run_uf1_rdbms(db, refresh)),
                          ("UF2", lambda: run_uf2_rdbms(db, doomed))):
-            elapsed, _, reason = _run_step(
-                db, "rdbms", "update", "SQL", name, query_timeout_s, fn)
-            times[name] = elapsed
-            if reason is not None:
-                failed[name] = reason
+            _run_step(db, "rdbms", "update", "SQL", name, query_timeout_s,
+                      fn, times, failed)
     return times, counts, failed

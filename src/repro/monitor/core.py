@@ -61,12 +61,6 @@ _RATE_GAUGES = (
 
 _WHITESPACE = re.compile(r"\s+")
 
-#: the keys of a serialised STAT record, in report order
-_STAT_KEYS = ("seq", "task", "label", "stream", "wp", "server", "outcome",
-              "start_s", "end_s", "response_s", "queue_wait_s", "rollin_s",
-              "rollout_s", "abap_s", "dbif_s", "engine_s", "commit_s",
-              "residual_s")
-
 
 @dataclass
 class StatRecord:
@@ -113,7 +107,26 @@ class StatRecord:
                 + self.commit_s)
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _STAT_KEYS}
+        return {
+            "seq": self.seq,
+            "task": self.task,
+            "label": self.label,
+            "stream": self.stream,
+            "wp": self.wp,
+            "server": self.server,
+            "outcome": self.outcome,
+            "start_s": self.start_s,
+            "end_s": self.end_s,
+            "response_s": self.response_s,
+            "queue_wait_s": self.queue_wait_s,
+            "rollin_s": self.rollin_s,
+            "rollout_s": self.rollout_s,
+            "abap_s": self.abap_s,
+            "dbif_s": self.dbif_s,
+            "engine_s": self.engine_s,
+            "commit_s": self.commit_s,
+            "residual_s": self.residual_s,
+        }
 
 
 @dataclass(eq=False)

@@ -18,8 +18,8 @@ into the ``repro-monitor-v1`` JSON document:
 
 from __future__ import annotations
 
-from repro.tables import render_table
 from repro.monitor.core import STEP_LAYERS, WorkloadMonitor
+from repro.tables import render_table
 
 FORMAT = "repro-monitor-v1"
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.r3.dbif import BreakerState
 from repro.r3.dispatcher import DispatcherConfig
 from repro.sim.faults import FaultProfile
+from repro.tables import render_table
 
 #: Chaos fault profiles, tuned to the operation counts of the open30
 #: suite at small scale factors (~20 DBIF round trips and ~3000 disk
@@ -155,8 +156,6 @@ class ChaosReport:
         }
 
     def render(self) -> str:
-        from repro.tables import render_table
-
         rows = []
         for cell in self.cells:
             rows.append([
@@ -445,8 +444,6 @@ class ScaleoutReport:
         }
 
     def render(self) -> str:
-        from repro.tables import render_table
-
         rows = []
         for cell in self.cells:
             rows.append([

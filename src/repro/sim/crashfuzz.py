@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.engine.errors import SimulatedCrash
 from repro.sim.faults import FaultInjector, FaultProfile
 from repro.sim.params import SimParams
+from repro.tables import render_table
 
 #: workload names accepted by :func:`run_crash_fuzz`
 FUZZ_WORKLOADS = ("load", "uf", "power")
@@ -255,8 +256,6 @@ class CrashFuzzReport:
         }
 
     def render(self) -> str:
-        from repro.tables import render_table
-
         rows = []
         for wl in self.workloads:
             by_mode: dict[str, int] = {}

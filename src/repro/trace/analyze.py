@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.tables import render_table
+
 #: breakdown column of each layer tag (the STAT layers folded to three)
 LAYER_COLUMNS = {"abap": "app", "rollin": "app", "rollout": "app",
                  "dbif": "dbif", "engine": "engine", "commit": "engine"}
@@ -232,8 +234,6 @@ class TraceAnalyzer:
 
     def render_text(self, top: int = 10, title: str | None = None) -> str:
         """The ST05-style text report (per-query layers + hot operators)."""
-        from repro.tables import render_table
-
         breakdowns = self.query_breakdowns()
         rows = []
         for b in breakdowns:
