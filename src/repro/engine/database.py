@@ -336,7 +336,8 @@ class Database:
         # the profile accumulates across executions of a cached cursor).
         profile = (attach_profile(plan.operator, self.clock, self.metrics)
                    if self.tracer.enabled else None)
-        with self.tracer.span("db.query", layer="engine", sql=sql) as span:
+        with self.tracer.span("db.query", layer="engine",
+                              sql=sql) as span:
             rows = list(plan.operator.rows(params))
             span.set(rows=len(rows), profile=profile)
         return Result(plan.column_names, rows)

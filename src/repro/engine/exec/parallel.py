@@ -144,12 +144,12 @@ class Gather(Operator):
         lanes = LaneSet(clock, self.degree)
         outputs: list[list[tuple]] = []
         with ctx.tracer.span("exec.fragment", operator=self.label,
-                   degree=self.degree) as fragment:
+                             degree=self.degree) as fragment:
             for index, op in enumerate(self.lane_ops):
                 def work(op: Operator = op,
                          index: int = index) -> list[tuple]:
                     with ctx.tracer.span("exec.lane", lane=index,
-                               parallel=True) as lane_span:
+                                         parallel=True) as lane_span:
                         rows = list(op.rows(params))
                         clock.charge(len(rows) * ship_s)
                         lane_span.set(rows=len(rows))
@@ -444,13 +444,13 @@ class ParallelHashJoin(Operator):
         lanes = LaneSet(clock, degree)
         outputs: list[list[tuple]] = [[] for _ in range(degree)]
         with ctx.tracer.span("exec.fragment", operator="ParallelHashJoin",
-                   strategy=self.strategy, degree=degree) as fragment:
+                             strategy=self.strategy, degree=degree) as fragment:
             if self.strategy == "broadcast":
                 for index, probe in enumerate(self.probe_lane_ops):
                     def work(index: int = index,
                              probe: Operator = probe) -> None:
                         with ctx.tracer.span("exec.lane", lane=index,
-                                   parallel=True) as lane_span:
+                                             parallel=True) as lane_span:
                             # Receiving the broadcast copy + building.
                             clock.charge(len(build_keyed)
                                          * (p.tuple_cpu_s
@@ -471,14 +471,14 @@ class ParallelHashJoin(Operator):
 
                 def shuffle(index: int, probe: Operator) -> None:
                     with ctx.tracer.span("exec.lane", lane=index, phase=1,
-                               parallel=True):
+                                         parallel=True):
                         shuffled[index][:] = Repartition(
                             ctx, degree, self.seed
                         ).route(self._keyed_probe(probe, params))
 
                 def probe_bucket(index: int) -> None:
                     with ctx.tracer.span("exec.lane", lane=index, phase=2,
-                               parallel=True) as lane_span:
+                                         parallel=True) as lane_span:
                         table = self._hash_table(build_shards[index])
                         clock.charge(len(build_shards[index])
                                      * p.tuple_cpu_s)
